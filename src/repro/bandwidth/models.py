@@ -10,6 +10,7 @@ answer "how long does a burst of S bytes starting at t take?".
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 import random
 from typing import Optional, Sequence
@@ -148,7 +149,7 @@ class TraceBandwidth(BandwidthModel):
             raise ValueError("trace must contain at least one sample")
         if any(s < 0 for s in samples):
             raise ValueError("bandwidth samples must be >= 0")
-        self.samples = [float(s) for s in samples]
+        self.samples = list(map(float, samples))
         self.start_time = float(start_time)
         self.wrap = wrap
         # Lazy cumulative-bytes prefix array: _prefix[k] = sum of the
@@ -172,12 +173,8 @@ class TraceBandwidth(BandwidthModel):
 
     def _prefix_sums(self) -> list:
         if self._prefix is None:
-            prefix = [0.0] * (len(self.samples) + 1)
-            acc = 0.0
-            for i, s in enumerate(self.samples):
-                acc += s
-                prefix[i + 1] = acc
-            self._prefix = prefix
+            # The same left fold as a running ``acc += s``, run in C.
+            self._prefix = list(itertools.accumulate(self.samples, initial=0.0))
         return self._prefix
 
     def _cumulative_raw(self, steps: int) -> float:

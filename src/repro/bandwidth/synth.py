@@ -17,9 +17,10 @@ Rates are bytes/second.  The generator is fully deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from typing import List, Optional
+from typing import List, Tuple
 
 from repro.bandwidth.models import TraceBandwidth
 from repro.bandwidth.trace import BandwidthTrace
@@ -92,27 +93,15 @@ def synthesize_regime(
     return samples
 
 
-def wuhan_trace(
-    seed: int = 20141208,
-    *,
-    duration: int = 7200,
-    bus_fraction: float = 0.46,
-) -> BandwidthTrace:
-    """Synthesise the 2-hour "Wuhan bus + campus" uplink trace.
+@functools.lru_cache(maxsize=8)
+def _wuhan_samples(seed: int, duration: int, bus_fraction: float) -> Tuple[float, ...]:
+    """The synthesized samples, memoized per ``(seed, duration, bus_fraction)``.
 
-    Parameters
-    ----------
-    seed:
-        RNG seed; the default commemorates the collection date.
-    duration:
-        Total samples (seconds).  The paper's trace is 7200 s.
-    bus_fraction:
-        Fraction of the trace spent on the bus (noisier regime).
+    Synthesis is a pure function of its arguments, and every default
+    scenario uses the same channel seed whatever its workload seed, so
+    a sweep would otherwise rebuild one identical trace per job.  The
+    cache holds an immutable tuple; callers get their own list.
     """
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    if not (0.0 <= bus_fraction <= 1.0):
-        raise ValueError("bus_fraction must be in [0, 1]")
     rng = random.Random(seed)
     bus_seconds = int(duration * bus_fraction)
     campus_seconds = duration - bus_seconds
@@ -136,8 +125,32 @@ def wuhan_trace(
         fade_duration_mean=3.0,
         smoothing=0.6,
     )
+    return tuple(bus + campus)
+
+
+def wuhan_trace(
+    seed: int = 20141208,
+    *,
+    duration: int = 7200,
+    bus_fraction: float = 0.46,
+) -> BandwidthTrace:
+    """Synthesise the 2-hour "Wuhan bus + campus" uplink trace.
+
+    Parameters
+    ----------
+    seed:
+        RNG seed; the default commemorates the collection date.
+    duration:
+        Total samples (seconds).  The paper's trace is 7200 s.
+    bus_fraction:
+        Fraction of the trace spent on the bus (noisier regime).
+    """
+    if duration <= 0:
+        raise ValueError("duration must be > 0")
+    if not (0.0 <= bus_fraction <= 1.0):
+        raise ValueError("bus_fraction must be in [0, 1]")
     return BandwidthTrace(
-        samples=bus + campus,
+        samples=list(_wuhan_samples(seed, duration, bus_fraction)),
         description=(
             "synthetic 3G uplink trace: downtown-bus regime then campus-walk "
             f"regime (seed={seed})"

@@ -14,11 +14,24 @@ interfere original heartbeat transmission").
 from __future__ import annotations
 
 import abc
+import functools
+import random
 from typing import List, Optional, Sequence
 
 from repro.core.packet import Packet
 
 __all__ = ["TransmissionStrategy", "BandwidthEstimator"]
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _noise_draw(seed, second: int) -> float:
+    """The first ``random()`` draw of the generator seeded per second.
+
+    A pure function of ``(seed, second)``, memoized process-wide: a
+    strategy records and estimates the same second, and every job of a
+    sweep shares the estimator seed, so most draws repeat.
+    """
+    return random.Random(hash((seed, second))).random()
 
 
 class BandwidthEstimator:
@@ -55,11 +68,11 @@ class BandwidthEstimator:
         true = self.bandwidth.rate_at(max(0.0, now - self.lag))
         if self.noise == 0:
             return true
-        # Deterministic per-second noise so runs are reproducible.
-        import random
-
-        rng = random.Random((self.seed, int(now)).__hash__())
-        factor = 1.0 + rng.uniform(-self.noise, self.noise)
+        # Deterministic per-second noise so runs are reproducible.  The
+        # uniform draw is spelled out as ``random.Random.uniform`` computes
+        # it (``a + (b - a) * random()``) so the memoized draw is bit-exact.
+        a, b = -self.noise, self.noise
+        factor = 1.0 + (a + (b - a) * _noise_draw(self.seed, int(now)))
         return max(0.0, true * factor)
 
     def record(self, now: float) -> None:

@@ -111,8 +111,27 @@ class ChannelAwareETrainStrategy(ETrainStrategy):
         """Never idle, overriding the eTrain parent: every :meth:`decide`
         records a channel sample into the estimator, and the running
         average built from those samples gates future dribble releases.
-        Skipping decision slots would change the sample stream."""
+        Quiet stretches are skipped through :meth:`decision_horizon`
+        instead, and :meth:`on_decisions_skipped` replays their samples."""
         return False
+
+    def decision_horizon(self, now: float) -> float:
+        """eTrain's Θ-crossing horizon while no dribble is deferred.
+
+        With ``_deferred`` empty, a decision below Θ off a heartbeat
+        releases nothing and returns before consulting the channel; its
+        only effect is the estimator sample, which the skip replays.  A
+        deferred dribble may go out at any slot the channel looks good,
+        so it keeps the strategy stepping.
+        """
+        if self._deferred:
+            return now
+        return super().decision_horizon(now)
+
+    def on_decisions_skipped(self, window) -> None:
+        """Record the channel samples the skipped decisions would have."""
+        for t in window.times():
+            self.estimator.record(t)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,11 @@ class HarvestLazyStrategy(TransmissionStrategy):
             return now
         margin = 1e-6 * max(1.0, self.slot)
         horizon = due - self.slot - margin
-        crossing = self.battery.when_stored_at_least(self.watermark_j, now)
+        # A crossing past the deadline horizon cannot lower it, so the
+        # search stops there instead of scanning an idle battery forever.
+        crossing = self.battery.when_stored_at_least(
+            self.watermark_j, now, until=horizon
+        )
         if crossing is not None and crossing - margin < horizon:
             horizon = crossing - margin
         return horizon

@@ -19,6 +19,7 @@ express their own profiles.
 from __future__ import annotations
 
 import abc
+import math
 from typing import List, Sequence, Tuple
 
 __all__ = [
@@ -42,6 +43,13 @@ class DelayCostFunction(abc.ABC):
 
     #: Relative deadline this profile is parameterised by (seconds).
     deadline: float
+
+    #: Whether ``__call__`` is non-decreasing in *float* arithmetic, not
+    #: just on paper: ``d1 <= d2`` implies ``f(d1) <= f(d2)`` for every
+    #: pair of float delays.  eTrain's Θ-crossing horizon relies on it to
+    #: skip quiet slots; a function that does not declare it keeps the
+    #: scheduler stepping slot by slot.
+    monotone: bool = False
 
     @abc.abstractmethod
     def __call__(self, delay: float) -> float:
@@ -67,6 +75,9 @@ class _DeadlineCost(DelayCostFunction):
 class MailCost(_DeadlineCost):
     """f1 — email: no cost before the deadline, linear afterwards."""
 
+    # Past the deadline d / D rounds to >= 1, so the jump starts at >= 0.
+    monotone = True
+
     def __call__(self, delay: float) -> float:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -81,6 +92,8 @@ class WeiboCost(_DeadlineCost):
     #: Cost plateau once the deadline is violated.
     PLATEAU = 2.0
 
+    monotone = True
+
     def __call__(self, delay: float) -> float:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -92,6 +105,14 @@ class WeiboCost(_DeadlineCost):
 class CloudCost(_DeadlineCost):
     """f3 — cloud sync: linear before deadline, 3× slope afterwards."""
 
+    def __init__(self, deadline: float) -> None:
+        super().__init__(deadline)
+        # Each branch is float-monotone on its own, so the function is
+        # iff the first delay past the deadline costs at least f(D) = 1
+        # after rounding.  Checked per deadline rather than assumed.
+        past = math.nextafter(self.deadline, math.inf)
+        self.monotone = self(past) >= self(self.deadline)
+
     def __call__(self, delay: float) -> float:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -102,6 +123,8 @@ class CloudCost(_DeadlineCost):
 
 class LinearCost(DelayCostFunction):
     """Pure linear cost ``slope · d`` with a nominal deadline for reporting."""
+
+    monotone = True
 
     def __init__(self, slope: float, deadline: float = float("inf")) -> None:
         if slope < 0:
@@ -117,6 +140,8 @@ class LinearCost(DelayCostFunction):
 
 class StepCost(_DeadlineCost):
     """Zero before the deadline, a fixed penalty after (hard deadline)."""
+
+    monotone = True
 
     def __init__(self, deadline: float, penalty: float = 1.0) -> None:
         super().__init__(deadline)
@@ -175,6 +200,8 @@ class PiecewiseLinearCost(DelayCostFunction):
 
 class ZeroCost(DelayCostFunction):
     """Cost-free profile (packets may wait forever) — useful baseline."""
+
+    monotone = True
 
     def __init__(self) -> None:
         self.deadline = float("inf")

@@ -106,7 +106,6 @@ class ETrainScheduler:
         for profile in profiles:
             self.register_app(profile)
         self.tx_queue = TransmissionQueue()
-        self.decisions: List[SchedulerDecision] = []
 
     def register_app(self, profile: CargoAppProfile) -> None:
         """Register a cargo app (creates its waiting queue Q_i)."""
@@ -170,15 +169,13 @@ class ETrainScheduler:
                 self.tx_queue.push(packet)
                 selected.append(packet)
 
-        decision = SchedulerDecision(
+        return SchedulerDecision(
             time=now,
             selected=tuple(selected),
             instantaneous_cost=cost,
             budget=budget,
             heartbeat_slot=heartbeat_present,
         )
-        self.decisions.append(decision)
-        return decision
 
     def flush(self, now: float) -> List[Packet]:
         """Force-drain every waiting queue (end-of-run cleanup).

@@ -196,34 +196,38 @@ class HarvestingBattery:
         return True
 
     def when_stored_at_least(
-        self, target_j: float, t0: float, *, max_windows: int = 100_000
+        self, target_j: float, t0: float, *, until: float
     ) -> Optional[float]:
-        """Earliest ``t >= t0`` with ``stored_at(t) >= target_j``.
+        """Earliest ``t`` in ``[t0, until]`` with ``stored_at(t) >= target_j``.
 
-        None when ``target_j`` exceeds capacity or the crossing is not
-        found within ``max_windows`` harvest windows (e.g. all-zero
-        rates).  Assumes no drains happen in between, which holds for
-        the planning callers: a drain would only postpone the crossing,
-        and every drain site re-queries.
+        None when ``target_j`` exceeds capacity or the charge does not
+        reach it by ``until``.  Charge is monotone between drains, so the
+        scan walks harvest windows in order and stops at the first one
+        starting past ``until``: it never draws a window the caller's
+        horizon cannot reach.  Assumes no drains happen in between, which
+        holds for the planning callers: a drain would only postpone the
+        crossing, and every drain site re-queries.
         """
         if target_j > self.capacity_j:
             return None
         t0 = max(t0, self._anchor)
+        if t0 > until:
+            return None
         if self.stored_at(t0) >= target_j:
             return t0
+        if self.harvest_rate_max == 0.0:
+            return None  # every window harvests nothing: charge is flat
         w = self.harvest_window_s
         # Unclamped accumulation crosses `target` at the same instant the
         # clamped level does, because target <= capacity and charge is
         # monotone between drains.
         need = target_j - self._level + self.harvested(self._anchor)
         k = int(math.floor(t0 / w))
-        self._ensure_windows(k)
-        for _ in range(max_windows):
-            rate = self._rates[k]
-            end_of_window = self._cum[k + 1]
-            if end_of_window >= need and rate > 0.0:
-                t = k * w + (need - self._cum[k]) / rate
-                return max(t, t0)
-            k += 1
+        while k * w <= until:
             self._ensure_windows(k)
+            rate = self._rates[k]
+            if self._cum[k + 1] >= need and rate > 0.0:
+                t = max(k * w + (need - self._cum[k]) / rate, t0)
+                return t if t <= until else None
+            k += 1
         return None

@@ -116,10 +116,11 @@ class TestDecide:
 
     def test_decisions_recorded(self):
         s = scheduler()
-        s.decide(0.0, heartbeat_present=False)
-        s.decide(1.0, heartbeat_present=True)
-        assert len(s.decisions) == 2
-        assert s.decisions[1].heartbeat_slot
+        first = s.decide(0.0, heartbeat_present=False)
+        second = s.decide(1.0, heartbeat_present=True)
+        assert (first.time, first.heartbeat_slot) == (0.0, False)
+        assert (second.time, second.heartbeat_slot) == (1.0, True)
+        assert not hasattr(s, "decisions")
 
     def test_selected_packets_move_to_tx_queue(self):
         s = scheduler(theta=0.0)
