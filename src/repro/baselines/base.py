@@ -205,7 +205,7 @@ class TransmissionStrategy(abc.ABC):
     def on_decisions_skipped(self, window) -> None:
         """The engine skipped the decision slots described by ``window``.
 
-        ``window`` is a :class:`repro.sim.engine.DecisionWindow`: the
+        ``window`` is a :class:`repro.sim.decision.DecisionWindow`: the
         decision times the dense loop would have passed to
         :meth:`decide` while this strategy reported :attr:`is_idle`.
         Strategies whose internal clock advances even on empty decisions

@@ -2,14 +2,16 @@
 
 A :class:`DeviceSession` is the online counterpart of one scalar
 :class:`repro.sim.engine.Simulation`: it consumes heartbeat/cargo
-observations with non-decreasing timestamps and lazily replays the
-dense slot loop through the shared kernel
-(:func:`repro.sim.decision.advance`).  A slot is *finalized* — its
+observations with non-decreasing timestamps and feeds them to the same
+resumable slot driver the batch engine runs
+(:class:`repro.sim.decision.SlotCursor`).  A slot is *finalized* — its
 decision made and its bursts emitted — as soon as an observed event
 time proves the slot can receive no further inputs (every event in
 slot ``j`` has time below the slot end, so an event at or past the end
-closes it).  Closing the session runs the remaining slots and the
-engine's exact flush-at-end step, so the finished session's
+closes it).  The cursor skips quiet slots exactly as the batch engine
+does, with each jump capped at the first slot not yet finalizable.
+Closing the session runs the remaining slots and the cursor's
+end-of-horizon flush, so the finished session's
 :class:`~repro.sim.results.SimulationResult` is bit-identical to the
 batch run over the same events.
 
@@ -27,8 +29,8 @@ the packets are transmitted or the client closes it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bandwidth.models import BandwidthModel
 from repro.baselines.base import BandwidthEstimator
@@ -37,7 +39,7 @@ from repro.core.profiles import CargoAppProfile
 from repro.radio.interface import RadioInterface
 from repro.radio.power_model import GALAXY_S4_3G, PowerModel
 from repro.serve.protocol import ProtocolError
-from repro.sim.decision import DecisionState, SlotEvent, advance
+from repro.sim.decision import DecisionState, SlotCursor
 from repro.sim.fleet.workload import COST_KINDS
 from repro.sim.results import SimulationResult
 
@@ -110,10 +112,14 @@ class DeviceSession:
     ) -> None:
         from repro.sim.parallel.specs import STRATEGY_BUILDERS
 
-        if horizon <= 0:
-            raise ProtocolError("bad_request", f"horizon must be > 0, got {horizon}")
-        if slot <= 0:
-            raise ProtocolError("bad_request", f"slot must be > 0, got {slot}")
+        if not 0 < horizon < math.inf:
+            raise ProtocolError(
+                "bad_request", f"horizon must be finite and > 0, got {horizon}"
+            )
+        if not 0 < slot < math.inf:
+            raise ProtocolError(
+                "bad_request", f"slot must be finite and > 0, got {slot}"
+            )
         if strategy not in STRATEGY_BUILDERS:
             raise ProtocolError(
                 "unknown_strategy",
@@ -136,34 +142,34 @@ class DeviceSession:
         radio = RadioInterface(
             power_model if power_model is not None else GALAXY_S4_3G, bandwidth
         )
-        self.state = DecisionState(
-            strategy=strategy_obj,
-            radio=radio,
-            slot=self.slot,
-            granularity=max(strategy_obj.slot, self.slot),
-            warm_window=radio.power_model.tail_time,
-            # Strategies owning a harvesting battery (harvest_lazy) gate
-            # standalone bursts on it — same pickup as the batch engine.
-            battery=getattr(strategy_obj, "battery", None),
+        # Strategies owning a harvesting battery (harvest_lazy) gate
+        # standalone bursts on it — same pickup as the batch engine.
+        self.state = DecisionState.fresh(
+            strategy_obj, radio, self.slot, getattr(strategy_obj, "battery", None)
         )
-        self.n_slots = int(math.ceil(self.horizon / self.slot))
-        self.cursor = 0  # next slot index awaiting finalization
+        self.cursor = SlotCursor(self.state, self.horizon)
         self.closed = False
         self.events = 0
-        self._arrivals: Deque[Packet] = deque()
-        self._hbs: Deque[Heartbeat] = deque()
         self._app_ids = {p.app_id for p in self.profiles}
         self._next_packet_id = 0
         self._watermark = 0.0  # highest event time observed
-        self.packets: List[Packet] = []
-        self.heartbeats: List[Heartbeat] = []
+
+    @property
+    def n_slots(self) -> int:
+        """Slots in the session horizon."""
+        return self.cursor.n_slots
+
+    @property
+    def packets(self) -> List[Packet]:
+        """Every cargo packet observed so far, in arrival order."""
+        return self.cursor.packets
 
     # -- admission-control bookkeeping ---------------------------------
 
     @property
     def pending_cargo(self) -> int:
         """Cargo the session still owes the radio (buffered + queued + Q_TX)."""
-        return len(self._arrivals) + self.state.pending_cargo
+        return self.cursor.undelivered + self.state.pending_cargo
 
     # -- event intake --------------------------------------------------
 
@@ -174,6 +180,9 @@ class DeviceSession:
             t = float(t)
         except (TypeError, ValueError):
             raise ProtocolError("bad_event", f"event time must be a number, got {t!r}")
+        if not math.isfinite(t):
+            # NaN would slip past every ordering check below.
+            raise ProtocolError("bad_event", f"event time must be finite, got {t!r}")
         if t < self._watermark:
             raise ProtocolError(
                 "out_of_order",
@@ -212,10 +221,9 @@ class DeviceSession:
         except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_event", str(exc))
         self._next_packet_id += 1
-        self._arrivals.append(packet)
-        self.packets.append(packet)
+        self.cursor.push_arrival(packet)
         self.events += 1
-        return self._advance_until(t)
+        return self._finalize(t)
 
     def on_heartbeat(
         self, t: float, app: str, seq: int, size: int
@@ -226,53 +234,18 @@ class DeviceSession:
             hb = Heartbeat(app_id=app, seq=int(seq), time=t, size_bytes=int(size))
         except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_event", str(exc))
-        self._hbs.append(hb)
+        self.cursor.push_heartbeat(hb)
         self.events += 1
-        return self._advance_until(t)
+        return self._finalize(t)
 
-    # -- the lazy dense replay -----------------------------------------
-
-    def _advance_until(self, limit: float) -> Tuple[List[TransmissionRecord], int]:
-        """Finalize every slot whose end is at or before ``limit``.
-
-        The slot body is :func:`repro.sim.decision.advance` — the same
-        kernel both engine loops run — fed the exact inputs the dense
-        loop would assemble: arrivals with ``arrival_time <= t`` in
-        arrival order, this slot's heartbeats in (time, app, seq) order.
-        """
+    def _finalize(self, limit: float) -> Tuple[List[TransmissionRecord], int]:
+        """Finalize every slot ending by ``limit``; returns the bursts and
+        decisions those slots produced."""
         state = self.state
-        s = self.slot
-        horizon = self.horizon
-        arrivals = self._arrivals
-        hbs = self._hbs
-        txs: List[TransmissionRecord] = []
-        dec0 = state.decisions
-        while self.cursor < self.n_slots:
-            t = self.cursor * s
-            slot_end = t + s
-            if slot_end > horizon:
-                slot_end = horizon
-            if slot_end > limit:
-                break
-            due: Tuple[Packet, ...] = ()
-            if arrivals and arrivals[0].arrival_time <= t:
-                batch = []
-                while arrivals and arrivals[0].arrival_time <= t:
-                    batch.append(arrivals.popleft())
-                due = tuple(batch)
-            slot_hbs: Tuple[Heartbeat, ...] = ()
-            if hbs and hbs[0].time < slot_end:
-                hb_batch = []
-                while hbs and hbs[0].time < slot_end:
-                    hb_batch.append(hbs.popleft())
-                hb_batch.sort(key=lambda h: (h.time, h.app_id, h.seq))
-                self.heartbeats.extend(hb_batch)
-                slot_hbs = tuple(hb_batch)
-            outcome = advance(state, SlotEvent(t, due, slot_hbs))
-            if outcome.transmissions:
-                txs.extend(outcome.transmissions)
-            self.cursor += 1
-        return txs, state.decisions - dec0
+        records = state.radio.records
+        n0, d0 = len(records), state.decisions
+        self.cursor.advance_until(limit)
+        return records[n0:], state.decisions - d0
 
     # -- end of session ------------------------------------------------
 
@@ -284,31 +257,22 @@ class DeviceSession:
         """
         if self.closed:
             raise ProtocolError("session_closed", f"{self.device} already closed")
-        txs, decisions = self._advance_until(float("inf"))
         state = self.state
-        strategy = state.strategy
-        # Deliver any arrivals past the last slot boundary, then flush —
-        # in lockstep with Simulation.run's flush_at_end block.
-        while self._arrivals:
-            strategy.on_arrival(self._arrivals.popleft(), self.horizon)
-        leftovers = state.held + strategy.flush(self.horizon)
-        n_before = len(state.radio.records)
-        if leftovers:
-            state.radio.transmit_packets(self.horizon, leftovers)
-        state.held = []
-        txs.extend(state.radio.records[n_before:])
+        records = state.radio.records
+        n0, d0 = len(records), state.decisions
+        flushed = self.cursor.finish()
         self.closed = True
         result = SimulationResult(
-            strategy_name=strategy.name,
+            strategy_name=state.strategy.name,
             horizon=self.horizon,
-            records=list(state.radio.records),
-            packets=list(self.packets),
-            heartbeats=list(self.heartbeats),
+            records=list(records),
+            packets=list(self.cursor.packets),
+            heartbeats=list(self.cursor.heartbeats),
             energy=state.radio.energy_breakdown(),
-            flushed_packets=len(leftovers),
+            flushed_packets=flushed,
             decisions=state.decisions,
         )
-        return result, txs, decisions
+        return result, records[n0:], state.decisions - d0
 
 
 class SessionStore:

@@ -16,133 +16,39 @@ Heartbeats are never rescheduled; the radio serialises overlapping bursts
 (constraint (3)).  At the horizon the strategy's leftover queue is force-
 flushed so every packet is accounted for.
 
-Two execution paths produce bit-identical results:
+The slot loop itself is :class:`repro.sim.decision.SlotCursor`, the one
+driver the serving layer also runs; this module is the batch shell that
+feeds it a whole run's packets and heartbeats.  Two skip policies give
+bit-identical results:
 
-* the **dense** reference loop (``Simulation(..., dense=True)``) visits
-  every slot in order, exactly as the original implementation did;
-* the default **event-horizon** loop fast-forwards between *interesting*
-  slots — the earliest of the next packet arrival, the next heartbeat,
-  the next decision slot the strategy may act in (per its
-  :attr:`~repro.baselines.base.TransmissionStrategy.is_idle` /
+* the **dense** reference policy (``Simulation(..., dense=True)``)
+  visits every slot in order;
+* the default **event-horizon** policy fast-forwards between
+  *interesting* slots — the earliest of the next packet arrival, the
+  next heartbeat and the next decision slot the strategy may act in
+  (per its :attr:`~repro.baselines.base.TransmissionStrategy.is_idle` /
   :meth:`~repro.baselines.base.TransmissionStrategy.decision_horizon`
-  contract) and the warm-window safety check for held Q_TX packets.
-
-Skipping a slot is sound because a slot with no arrivals, no heartbeats
-and no (effective) decision is a no-op in the dense loop: held Q_TX
-packets only accumulate while the radio is cold, and the radio can only
-warm up at a transmission, which itself only happens at a wake slot.
-Decision slots skipped while a strategy is quiet are still *counted*
-(``SimulationResult.decisions`` matches the dense loop) and are offered
-back to the strategy through
-:meth:`~repro.baselines.base.TransmissionStrategy.on_decisions_skipped`
-so clock-keeping state (e.g. a periodic fire timer) can be replayed
-exactly.  See ``docs/performance.md``.
+  contract).  Skipped decision slots are still counted and are offered
+  back through
+  :meth:`~repro.baselines.base.TransmissionStrategy.on_decisions_skipped`.
+  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from bisect import bisect_left, bisect_right
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.bandwidth.models import BandwidthModel
 from repro.baselines.base import TransmissionStrategy
-from repro.core.packet import Heartbeat, Packet
+from repro.core.packet import Packet
 from repro.heartbeat.generators import HeartbeatGenerator, merge_heartbeats
 from repro.radio.interface import RadioInterface
 from repro.radio.power_model import PowerModel
-from repro.sim.decision import is_decision_slot, slot_step
+from repro.sim.decision import DecisionState, DecisionWindow, SlotCursor
 from repro.sim.results import SimulationResult
 
 __all__ = ["Simulation", "DecisionWindow"]
-
-
-class DecisionWindow:
-    """Decision times the event loop skipped, queryable without materialising.
-
-    Passed to :meth:`TransmissionStrategy.on_decisions_skipped`.  Two
-    backings: an explicit sorted list of times, or (on exact slot grids)
-    an arithmetic description — granularity multiples ``m_lo+1 .. m_hi``
-    — whose individual times are derived on demand, so a day-long skip is
-    O(1) to describe and O(log)-ish to query.
-    """
-
-    __slots__ = ("count", "_times", "_s", "_g", "_eps", "_lo", "_m_lo")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._times: Optional[List[float]] = None
-        self._s = self._g = self._eps = 0.0
-        self._lo = 0
-        self._m_lo = 0
-
-    @classmethod
-    def from_times(cls, times: List[float]) -> "DecisionWindow":
-        win = cls()
-        win._times = times
-        win.count = len(times)
-        return win
-
-    @classmethod
-    def from_grid(
-        cls, slot: float, granularity: float, eps: float,
-        lo_slot: int, m_lo: int, m_hi: int,
-    ) -> "DecisionWindow":
-        win = cls()
-        win._s = slot
-        win._g = granularity
-        win._eps = eps
-        win._lo = lo_slot
-        win.count = m_hi - m_lo
-        win._m_lo = m_lo
-        return win
-
-    def _slot_time(self, m: int) -> float:
-        """Time of the decision slot serving granularity multiple ``m``."""
-        s, g, eps = self._s, self._g, self._eps
-        k = max(self._lo + 1, int((m * g - eps) / s) - 1)
-        while math.floor((k * s + eps) / g) < m:
-            k += 1
-        return k * s
-
-    def first_at_or_after(self, time: float) -> Optional[float]:
-        """Smallest skipped decision time >= ``time`` (None past the end)."""
-        if self._times is not None:
-            idx = bisect_left(self._times, time)
-            return self._times[idx] if idx < len(self._times) else None
-        m_lo = self._m_lo
-        m_hi = m_lo + self.count
-        # A decision slot's time lies in [m*g - eps, m*g + s), so no
-        # multiple below this candidate can qualify.
-        m = max(m_lo + 1, int(math.floor((time - self._s - self._eps) / self._g)))
-        while m <= m_hi:
-            t_m = self._slot_time(m)
-            if t_m >= time:
-                return t_m
-            m += 1
-        return None
-
-    def next_after(self, time: float) -> Optional[float]:
-        """Smallest skipped decision time strictly > ``time``."""
-        if self._times is not None:
-            idx = bisect_right(self._times, time)
-            return self._times[idx] if idx < len(self._times) else None
-        first = self.first_at_or_after(time)
-        if first is None or first > time:
-            return first
-        # ``time`` is itself a decision time; consecutive decision times
-        # are at least one engine slot apart, so half a slot past it
-        # lands strictly between it and its successor.
-        return self.first_at_or_after(first + 0.5 * self._s)
-
-    def times(self) -> List[float]:
-        """All skipped decision times, materialised (O(count))."""
-        if self._times is not None:
-            return list(self._times)
-        m_lo = self._m_lo
-        return [self._slot_time(m) for m in range(m_lo + 1, m_lo + self.count + 1)]
 
 
 class Simulation:
@@ -158,7 +64,6 @@ class Simulation:
         bandwidth: Optional[BandwidthModel] = None,
         horizon: float = 7200.0,
         slot: float = 1.0,
-        flush_at_end: bool = True,
         dense: bool = False,
         recorder=None,
         trace_app_costs=None,
@@ -175,15 +80,15 @@ class Simulation:
         self.bandwidth = bandwidth
         self.horizon = float(horizon)
         self.slot = float(slot)
-        self.flush_at_end = flush_at_end
-        #: Select the dense reference loop instead of the event-horizon
-        #: loop.  Both produce bit-identical results; dense exists for
-        #: A/B equivalence testing and as the micro-benchmark baseline.
+        #: Select the cursor's dense reference policy instead of the
+        #: event-horizon policy.  Both produce bit-identical results;
+        #: dense exists for A/B equivalence testing and as the
+        #: micro-benchmark baseline.
         self.dense = dense
         #: Optional :class:`repro.obs.recorder.Recorder` sink.  When None
         #: (the default) the run constructs no observability objects at
         #: all; when set, the full event trace is derived from the
-        #: completed result after the slot loops finish, so the hot paths
+        #: completed result after the slot loop finishes, so the hot paths
         #: are identical either way (see ``repro.obs.tracer``).
         self.recorder = recorder
         #: Optional ``{app_id: {"cost_kind", "deadline"}}`` table for the
@@ -198,57 +103,6 @@ class Simulation:
         self.radio: Optional[RadioInterface] = None
         #: Slots actually visited by the last run (dense: every slot).
         self.loop_iterations: int = 0
-
-    @property
-    def _granularity(self) -> float:
-        """Effective decision period (never finer than the engine slot)."""
-        return max(self.strategy.slot, self.slot)
-
-    def _is_decision_slot(self, t: float, granularity: Optional[float] = None) -> bool:
-        """Whether the strategy decides in the slot starting at ``t``.
-
-        The strategy decides in the first slot whose start is at or after
-        each multiple of its decision granularity.  This stays correct
-        when the granularity is not an integer multiple of the engine
-        slot (e.g. slot 0.25 s with a 0.3 s strategy) and is immune to
-        accumulated float error in ``t``: the comparison happens in the
-        time domain with a granularity-relative epsilon, not on a raw
-        ratio.  Callers in a loop pass the hoisted ``granularity``.
-
-        The predicate itself lives in :mod:`repro.sim.decision` so the
-        online serving layer evaluates exactly the same floats.
-        """
-        if granularity is None:
-            granularity = self._granularity
-        return is_decision_slot(t, self.slot, granularity)
-
-    def _exact_slot_grid(self, n_slots: int) -> bool:
-        """Whether ``k * slot`` is exact (and telescopes) for every slot k.
-
-        Every float is a dyadic rational; ``k * slot`` is computed exactly
-        whenever the numerator times the largest k fits the 53-bit
-        mantissa, which also guarantees ``k*slot - slot == (k-1)*slot``
-        bit-for-bit.  On such grids decision-slot counts and jump targets
-        have closed forms; otherwise the event loop falls back to linear
-        predicate scans (still skipping the *work*, not the arithmetic).
-        """
-        return Fraction(self.slot).numerator * (n_slots + 1) <= 2 ** 53
-
-    def _can_skip(self) -> bool:
-        """Whether the event loop could ever jump more than one slot.
-
-        A strategy that keeps the base ``is_idle`` (never idle) and the
-        base ``decision_horizon`` (no quiet stretches) while deciding
-        every slot forces slot-by-slot stepping; for those the dense loop
-        is the event loop, minus the bookkeeping.
-        """
-        base = TransmissionStrategy
-        cls = type(self.strategy)
-        return (
-            cls.is_idle is not base.is_idle
-            or cls.decision_horizon is not base.decision_horizon
-            or self._granularity > self.slot
-        )
 
     def run(self) -> SimulationResult:
         """Execute the simulation and return the collected result."""
@@ -265,26 +119,17 @@ class Simulation:
             else getattr(self.strategy, "battery", None)
         )
 
-        if self.dense or not self._can_skip():
-            arrival_idx, decisions, held = self._run_dense(
-                radio, heartbeats, battery
-            )
-        else:
-            arrival_idx, decisions, held = self._run_event(
-                radio, heartbeats, battery
-            )
-
-        # Deliver any arrivals past the last slot boundary, then flush.
-        if self.flush_at_end:
-            while arrival_idx < len(self.packets):
-                self.strategy.on_arrival(self.packets[arrival_idx], self.horizon)
-                arrival_idx += 1
-            leftovers = held + self.strategy.flush(self.horizon)
-            if leftovers:
-                radio.transmit_packets(self.horizon, leftovers)
-            flushed = len(leftovers)
-        else:
-            flushed = len(held)
+        state = DecisionState.fresh(self.strategy, radio, self.slot, battery)
+        cursor = SlotCursor(
+            state,
+            self.horizon,
+            dense=self.dense,
+            packets=self.packets,
+            heartbeats=heartbeats,
+        )
+        flushed = cursor.finish()
+        self.loop_iterations = cursor.visited
+        decisions = state.decisions
 
         result = SimulationResult(
             strategy_name=self.strategy.name,
@@ -318,319 +163,3 @@ class Simulation:
                 app_costs=self.trace_app_costs,
             )
         return result
-
-    # ------------------------------------------------------------------
-    # Dense reference loop
-    # ------------------------------------------------------------------
-
-    def _run_dense(
-        self, radio: RadioInterface, heartbeats: List[Heartbeat], battery=None
-    ) -> Tuple[int, int, List[Packet]]:
-        """Visit every slot in order (the original engine loop)."""
-        strategy = self.strategy
-        packets = self.packets
-        n_packets = len(packets)
-        n_hbs = len(heartbeats)
-        granularity = self._granularity
-
-        arrival_idx = 0
-        hb_idx = 0
-        decisions = 0
-        held: List[Packet] = []  # Q_TX contents awaiting radio resource
-        # "Radio resource available" = the radio is still in its promoted
-        # high-power tail (DCH or FACH).  Once fully demoted to IDLE a
-        # new burst would buy a brand-new tail, so Q_TX waits for the
-        # next heartbeat promotion instead.
-        warm_window = radio.power_model.tail_time
-        n_slots = int(math.ceil(self.horizon / self.slot))
-
-        for i in range(n_slots):
-            t = i * self.slot
-            slot_end = min(t + self.slot, self.horizon)
-
-            # 1. Deliver arrivals visible by this slot boundary.
-            while (
-                arrival_idx < n_packets
-                and packets[arrival_idx].arrival_time <= t
-            ):
-                strategy.on_arrival(packets[arrival_idx], t)
-                arrival_idx += 1
-
-            # 2. Collect this slot's heartbeats.
-            slot_hbs: List[Heartbeat] = []
-            while hb_idx < n_hbs and heartbeats[hb_idx].time < slot_end:
-                slot_hbs.append(heartbeats[hb_idx])
-                hb_idx += 1
-
-            # 3+4. Strategy decision (on its own granularity) and
-            #      transmission — the shared kernel in repro.sim.decision.
-            decide_now = self._is_decision_slot(t, granularity)
-            if decide_now:
-                decisions += 1
-            held = slot_step(
-                strategy, radio, held, t, slot_hbs, decide_now, warm_window,
-                battery=battery,
-            )
-
-        self.loop_iterations = n_slots
-        return arrival_idx, decisions, held
-
-    # ------------------------------------------------------------------
-    # Event-horizon loop
-    # ------------------------------------------------------------------
-
-    def _run_event(
-        self, radio: RadioInterface, heartbeats: List[Heartbeat], battery=None
-    ) -> Tuple[int, int, List[Packet]]:
-        """Fast-forward between interesting slots; bit-identical to dense.
-
-        Per-slot processing is kept in lockstep with :meth:`_run_dense`
-        (same expressions, same order) so both paths make identical float
-        comparisons; only the iteration schedule differs.
-        """
-        strategy = self.strategy
-        s = self.slot
-        horizon = self.horizon
-        packets = self.packets
-        n_packets = len(packets)
-        n_hbs = len(heartbeats)
-        granularity = self._granularity
-        eps = 1e-9 * granularity
-        n_slots = int(math.ceil(horizon / s))
-        exact_grid = self._exact_slot_grid(n_slots)
-        every_slot_decides = granularity <= s
-        # On an exact grid with granularity == slot every slot decides,
-        # so the per-wake predicate evaluation can be elided.
-        always_decides = every_slot_decides and exact_grid
-        base = TransmissionStrategy
-        notify_skips = (
-            type(strategy).on_decisions_skipped is not base.on_decisions_skipped
-        )
-        arrival_wakes = strategy.arrival_wakes
-
-        # Precompute each pending event's wake slot once, with the exact
-        # float comparisons the dense loop makes, so the hot loop indexes
-        # instead of scanning.  Dense delivers an arrival at the first
-        # slot whose start is >= its arrival time; a heartbeat is
-        # collected by the first slot whose (horizon-clamped) end exceeds
-        # its departure time.
-        arr_wake: List[int] = []
-        if arrival_wakes:
-            for p in packets:
-                a = p.arrival_time
-                j = int(a / s)
-                while j * s < a:
-                    j += 1
-                while j > 0 and (j - 1) * s >= a:
-                    j -= 1
-                arr_wake.append(j)
-        hb_wake: List[int] = []
-        for hb in heartbeats:
-            h = hb.time
-            j = int(h / s) - 1
-            if j < 0:
-                j = 0
-            while j < n_slots and h >= min(j * s + s, horizon):
-                j += 1
-            hb_wake.append(j)  # n_slots when never collected
-
-        on_arrivals = strategy.on_arrivals
-        arrival_times = [p.arrival_time for p in packets]
-        floor = math.floor
-
-        arrival_idx = 0
-        hb_idx = 0
-        decisions = 0
-        held: List[Packet] = []
-        warm_window = radio.power_model.tail_time
-        iterations = 0
-
-        i = 0
-        while i < n_slots:
-            iterations += 1
-            t = i * s
-            slot_end = t + s
-            if slot_end > horizon:
-                slot_end = horizon
-
-            # ---- per-slot body: keep in lockstep with _run_dense ----
-            # Bulk equivalent of dense's one-at-a-time delivery loop:
-            # on_arrivals is contractually identical to repeated
-            # on_arrival calls at the same ``now``.
-            if arrival_idx < n_packets and arrival_times[arrival_idx] <= t:
-                j = bisect_right(arrival_times, t, arrival_idx)
-                on_arrivals(packets[arrival_idx:j], t)
-                arrival_idx = j
-
-            slot_hbs: List[Heartbeat] = []
-            while hb_idx < n_hbs and heartbeats[hb_idx].time < slot_end:
-                slot_hbs.append(heartbeats[hb_idx])
-                hb_idx += 1
-
-            decide_now = always_decides or self._is_decision_slot(t, granularity)
-            if decide_now:
-                decisions += 1
-            held = slot_step(
-                strategy, radio, held, t, slot_hbs, decide_now, warm_window,
-                battery=battery,
-            )
-
-            # ---- fast-forward to the next interesting slot ----
-            i1 = i + 1
-            # With arrival_wakes=False, arrivals can no longer wake an
-            # idle-skipping engine, so idleness must not drive skips —
-            # only the strategy's (arrival-independent) decision horizon.
-            idle = arrival_wakes and strategy.is_idle
-            if idle:
-                dh = t
-            else:
-                dh = strategy.decision_horizon(t)
-                if every_slot_decides and (dh <= t or i1 * s >= dh):
-                    # A decision may act next slot and the strategy does
-                    # not vouch for a quiet stretch: step densely.
-                    i = i1
-                    continue
-
-            nxt = n_slots
-            if arrival_idx < n_packets and arrival_wakes:
-                j = arr_wake[arrival_idx]
-                if j < nxt:
-                    nxt = j
-            if hb_idx < n_hbs:
-                j = hb_wake[hb_idx]
-                if j < nxt:
-                    nxt = j
-            if nxt <= i1:
-                i = i1
-                continue
-
-            if not idle:
-                if dh >= horizon:
-                    d = n_slots
-                elif every_slot_decides:
-                    # First slot at or after the promised horizon.
-                    k = int(dh / s)
-                    while k * s < dh:
-                        k += 1
-                    while k > i1 and (k - 1) * s >= dh:
-                        k -= 1
-                    d = k if k > i1 else i1
-                else:
-                    d = self._next_decision_slot(
-                        i, nxt, granularity, eps, exact_grid, dh
-                    )
-                if d < nxt:
-                    nxt = d
-            if held and nxt > i1:
-                if battery is not None:
-                    # Battery-gated cargo transmits at the first slot
-                    # whose accrued charge affords it; affordability can
-                    # flip at any slot, so step densely while holding.
-                    nxt = i1
-                elif radio.records and i1 * s < radio.busy_until + warm_window:
-                    # Held Q_TX packets transmit as soon as the radio is
-                    # warm.  By construction held implies a cold radio
-                    # (warmth only increases at transmissions, which are
-                    # wakes), so this never fires — it guards the loop
-                    # should that invariant ever change.
-                    nxt = i1
-
-            if nxt > i1:
-                # Count the decision slots the dense loop would have
-                # visited in (i, nxt); offer them back to strategies that
-                # replay clock state over skips.
-                if exact_grid:
-                    if every_slot_decides:
-                        decisions += nxt - i1
-                    else:
-                        m_lo = floor((t + eps) / granularity)
-                        m_hi = floor(((nxt - 1) * s + eps) / granularity)
-                        if m_hi > m_lo:
-                            decisions += m_hi - m_lo
-                    if notify_skips:
-                        win = self._skipped_decision_window(
-                            i, nxt, granularity, eps, exact_grid
-                        )
-                        if win is not None:
-                            strategy.on_decisions_skipped(win)
-                else:
-                    win = self._skipped_decision_window(
-                        i, nxt, granularity, eps, exact_grid
-                    )
-                    if win is not None:
-                        decisions += win.count
-                        if notify_skips:
-                            strategy.on_decisions_skipped(win)
-            i = nxt
-
-        self.loop_iterations = iterations
-        return arrival_idx, decisions, held
-
-    def _next_decision_slot(
-        self,
-        i: int,
-        limit: int,
-        granularity: float,
-        eps: float,
-        exact_grid: bool,
-        min_time: float,
-    ) -> int:
-        """Smallest decision-slot index in ``(i, limit)`` whose start time
-        is ``>= min_time`` (``limit`` when there is none).
-
-        On exact grids the answer comes from the next granularity
-        multiple in O(1); otherwise a linear scan applies the dense
-        predicate directly, which preserves correctness at the cost of
-        walking indices (decide() calls are still skipped).
-        """
-        s = self.slot
-        if not exact_grid:
-            k = i + 1
-            while k < limit:
-                t_k = k * s
-                if t_k >= min_time and self._is_decision_slot(t_k, granularity):
-                    return k
-                k += 1
-            return limit
-        m = math.floor((i * s + eps) / granularity) + 1
-        if min_time > i * s:
-            # A decision slot's time lies in [m*g - eps, m*g + slot), so
-            # multiples below this floor cannot reach min_time.
-            cand = int(math.floor((min_time - s - eps) / granularity))
-            if cand > m:
-                m = cand
-        while True:
-            k = max(i + 1, int((m * granularity - eps) / s) - 1)
-            while k < limit and math.floor((k * s + eps) / granularity) < m:
-                k += 1
-            if k >= limit:
-                return limit
-            if k * s >= min_time:
-                return k
-            m += 1
-
-    def _skipped_decision_window(
-        self, i: int, nxt: int, granularity: float, eps: float, exact_grid: bool
-    ) -> Optional[DecisionWindow]:
-        """Decision slots the dense loop would visit in ``(i, nxt)``.
-
-        On exact grids the count telescopes: each slot's predicate is
-        ``floor((k*s+eps)/g) > floor(((k-1)*s+eps)/g)`` and the floor can
-        climb by at most one per slot (granularity >= slot), so the total
-        over a range is the difference of its endpoint floors.
-        """
-        s = self.slot
-        if exact_grid:
-            m_lo = math.floor((i * s + eps) / granularity)
-            m_hi = math.floor(((nxt - 1) * s + eps) / granularity)
-            if m_hi <= m_lo:
-                return None
-            return DecisionWindow.from_grid(s, granularity, eps, i, m_lo, m_hi)
-        times = [
-            k * s
-            for k in range(i + 1, nxt)
-            if self._is_decision_slot(k * s, granularity)
-        ]
-        if not times:
-            return None
-        return DecisionWindow.from_times(times)

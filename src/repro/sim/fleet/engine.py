@@ -42,7 +42,6 @@ Equivalence to a per-device scalar loop is covered by
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -581,12 +580,13 @@ def _theta_costs_numpy(u, kinds, dls, n_pre, s_pre, n_post, s_post, out) -> None
 
 
 def _theta_costs_loops(u, kinds, dls, n_pre, s_pre, n_post, s_post, out) -> None:
-    """Scalar-loop twin of :func:`_theta_costs_numpy` (the numba source).
+    """Scalar-loop twin of :func:`_theta_costs_numpy`.
 
     Written so each element performs the *same IEEE operations in the
-    same order* as the NumPy expressions: numba compiles it without
-    fastmath or FMA contraction, so the results are bit-identical —
-    ``tests/test_etrain_jit.py`` checks exactly that.
+    same order* as the NumPy expressions, so the results are
+    bit-identical — ``tests/test_etrain_jit.py`` checks exactly that and
+    uses this plain-loop form as the readable reference for the grouped
+    NumPy code.
     """
     A, D = n_pre.shape
     for d in range(D):
@@ -608,90 +608,25 @@ def _theta_costs_loops(u, kinds, dls, n_pre, s_pre, n_post, s_post, out) -> None
         out[d] = acc
 
 
-_THETA_IMPL: Optional[Callable] = None
-
-
-def etrain_jit_requested() -> bool:
-    """Whether the ``ETRAIN_JIT`` env flag asks for the numba path."""
-    return os.environ.get("ETRAIN_JIT", "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "off",
-    )
-
-
-def etrain_jit_active() -> bool:
-    """True when the resolved Θ-cost step is the numba-compiled one."""
-    return _theta_costs_impl() is not _theta_costs_numpy
-
-
-def _reset_theta_impl() -> None:
-    """Drop the cached Θ-cost impl (tests flip ``ETRAIN_JIT`` at runtime)."""
-    global _THETA_IMPL
-    _THETA_IMPL = None
-
-
-def _theta_costs_impl() -> Callable:
-    """Resolve the Θ-cost step: NumPy, or numba behind ``ETRAIN_JIT``.
-
-    Import-guarded: a missing or broken numba silently falls back to the
-    NumPy path, so the flag is safe to set on machines without numba.
-    """
-    global _THETA_IMPL
-    if _THETA_IMPL is None:
-        impl = _theta_costs_numpy
-        if etrain_jit_requested():
-            try:
-                from numba import njit
-
-                jitted = njit(cache=False)(_theta_costs_loops)
-                # Warm the compile on token shapes so the first chunk
-                # doesn't pay it inside a timed phase.
-                jitted(
-                    0.0,
-                    np.zeros(1, np.int64),
-                    np.ones(1),
-                    np.zeros((1, 1)),
-                    np.zeros((1, 1)),
-                    np.zeros((1, 1)),
-                    np.zeros((1, 1)),
-                    np.zeros(1),
-                )
-                impl = jitted
-            except Exception:
-                impl = _theta_costs_numpy
-        _THETA_IMPL = impl
-    return _THETA_IMPL
-
-
 def _theta_step_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
-    """Bind the resolved Θ-cost impl to one chunk's app axis.
+    """Bind the Θ-cost step to one chunk's app axis.
 
-    The NumPy path specializes to a per-app row fold with scalar
-    deadlines — elementwise the exact same IEEE ops as
-    :func:`_theta_costs_numpy` (which tests keep as the reference), minus
-    the per-slot group construction and scratch allocation.  The numba
-    path forwards the full signature.
+    A per-app row fold with scalar deadlines — elementwise the exact
+    same IEEE ops as :func:`_theta_costs_numpy` (which tests keep as the
+    reference), minus the per-slot group construction and scratch
+    allocation.
     """
-    impl = _theta_costs_impl()
-    if impl is _theta_costs_numpy:
-        per_app = [
-            (int(kinds_arr[a]), float(dls_arr[a]))
-            for a in range(kinds_arr.shape[0])
-        ]
-
-        def step(u, n_pre, s_pre, n_post, s_post, out):
-            out[:] = 0.0
-            for a, (kind, dl) in enumerate(per_app):
-                out += _cost_aggregate(
-                    kind, dl, u, n_pre[a], s_pre[a], n_post[a], s_post[a]
-                )
-
-        return step
+    per_app = [
+        (int(kinds_arr[a]), float(dls_arr[a]))
+        for a in range(kinds_arr.shape[0])
+    ]
 
     def step(u, n_pre, s_pre, n_post, s_post, out):
-        impl(u, kinds_arr, dls_arr, n_pre, s_pre, n_post, s_post, out)
+        out[:] = 0.0
+        for a, (kind, dl) in enumerate(per_app):
+            out += _cost_aggregate(
+                kind, dl, u, n_pre[a], s_pre[a], n_post[a], s_post[a]
+            )
 
     return step
 

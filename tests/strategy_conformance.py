@@ -11,11 +11,12 @@ machinery:
   asserts the table covers the registry exactly, so a new baseline that
   forgets to add a row fails loudly.
 * run helpers (:func:`run_both`, :func:`assert_bit_identical`,
-  :func:`run_scenario`, fingerprints, :func:`conformance_scenarios`)
+  :func:`run_scenario`, fingerprints, :func:`conformance_scenarios`,
+  :func:`session_replay`)
   imported by ``test_strategy_conformance.py``, ``test_engine_fastpath.py``
   and ``test_obs_equivalence.py`` instead of per-file copies.
 
-The four certifications a strategy earns by having a row (all run by
+The five certifications a strategy earns by having a row (all run by
 ``tests/test_strategy_conformance.py``):
 
 1. dense-vs-event bit-identity (the event-horizon fast path skips
@@ -24,14 +25,17 @@ The four certifications a strategy earns by having a row (all run by
 3. trace replay exactness (the JSONL trace alone reproduces the run's
    summary, including ``aoi_s``);
 4. fleet-vs-scalar agreement (the chunked fleet pipeline — vectorized
-   kernel or scalar fallback — matches per-device scalar simulation).
+   kernel or scalar fallback — matches per-device scalar simulation);
+5. session replay (a :class:`~repro.serve.sessions.DeviceSession` fed
+   one device's events, finalizing slots at arbitrary split points,
+   equals the dense engine on the same device).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import ListRecorder, metrics_scope
 from repro.obs.events import app_cost_table
@@ -57,6 +61,8 @@ __all__ = [
     "run_both",
     "run_scenario",
     "schedule_fingerprint",
+    "session_replay",
+    "SESSION_DEVICES",
 ]
 
 #: Every registered baseline, in registry-sorted order.  The conformance
@@ -308,3 +314,106 @@ def assert_fleet_summaries_match(fleet, scalar, rtol: float = 1e-6) -> None:
         )
     assert list(fleet.energy_hist) == list(scalar.energy_hist)
     assert list(fleet.delay_hist) == list(scalar.delay_hist)
+
+
+#: Devices of the serve suite's fleet workload (3 devices × 450 s).
+SESSION_DEVICES = 3
+_SESSION_FIXTURE: Dict[str, object] = {}
+
+
+def _session_fixture():
+    """The fleet workload, profiles and channel the serve suite replays."""
+    if not _SESSION_FIXTURE:
+        from repro.bandwidth.synth import wuhan_bandwidth_model
+        from repro.sim.fleet.reference import reference_profiles
+        from repro.sim.fleet.workload import synthesize_fleet
+
+        workload = synthesize_fleet(SESSION_DEVICES, 450.0, seed=7)
+        _SESSION_FIXTURE.update(
+            workload=workload,
+            profiles=reference_profiles(workload),
+            bandwidth=wuhan_bandwidth_model(),
+        )
+    return _SESSION_FIXTURE
+
+
+def session_replay(
+    name: str,
+    params: Optional[Dict],
+    device: int,
+    splits: Sequence[float] = (),
+):
+    """One fleet device through a serve session and the dense engine.
+
+    The session is fed the device's cargo and heartbeats in time order
+    (heartbeats first at equal times, as ``repro.serve.loadgen`` sends
+    them); before each event, every split point at or below its time
+    finalizes slots early through the session's cursor, so jumps get
+    cut at arbitrary places.  Returns ``(dense, dense_visited,
+    served, streamed, call_decisions, session_visited)``: the dense
+    ``Simulation`` result and its visited slots, the session's closed
+    result, the bursts and decision counts summed over every per-call
+    response, and the session cursor's visited slots.
+    """
+    from repro.heartbeat.generators import merge_heartbeats
+    from repro.serve.sessions import DeviceSession
+    from repro.sim.fleet.reference import _device_scenario
+
+    fx = _session_fixture()
+    workload, profiles, bandwidth = fx["workload"], fx["profiles"], fx["bandwidth"]
+    scenario = _device_scenario(workload, device, profiles, bandwidth, GALAXY_S4_3G)
+    sim = Simulation(
+        build_strategy(name, scenario, params),
+        scenario.train_generators,
+        scenario.fresh_packets(),
+        power_model=scenario.power_model,
+        bandwidth=scenario.bandwidth,
+        horizon=scenario.horizon,
+        slot=scenario.slot,
+        dense=True,
+    )
+    dense = sim.run()
+
+    events = [(hb.time, 0, hb) for hb in merge_heartbeats(
+        scenario.train_generators, scenario.horizon
+    )]
+    events += [(p.arrival_time, 1, p) for p in scenario.packets]
+    events.sort(key=lambda e: (e[0], e[1]))
+    session = DeviceSession(
+        f"dev-{device}",
+        strategy=name,
+        params=dict(params or {}),
+        horizon=scenario.horizon,
+        slot=scenario.slot,
+        power_model=GALAXY_S4_3G,
+        bandwidth=bandwidth,
+        profiles=profiles,
+    )
+    pending = sorted(splits)
+    streamed: List = []
+    call_decisions = 0
+
+    def take(reply):
+        nonlocal call_decisions
+        txs, decisions = reply
+        streamed.extend(txs)
+        call_decisions += decisions
+
+    for t, kind, obj in events:
+        while pending and pending[0] <= t:
+            take(session._finalize(pending.pop(0)))
+        if kind == 0:
+            take(session.on_heartbeat(t, obj.app_id, obj.seq, obj.size_bytes))
+        else:
+            take(session.on_cargo(
+                t, obj.app_id, obj.size_bytes, deadline=obj.deadline,
+                direction=obj.direction,
+            ))
+    for limit in pending:
+        take(session._finalize(limit))
+    served, txs, decisions = session.close()
+    take((txs, decisions))
+    return (
+        dense, sim.loop_iterations, served, streamed, call_decisions,
+        session.cursor.visited,
+    )

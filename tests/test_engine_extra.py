@@ -54,19 +54,6 @@ class TestSlotSizes:
 
 
 class TestFlushModes:
-    def test_flush_disabled_leaves_packets_unscheduled(self):
-        strategy = ETrainStrategy(
-            [weibo_profile()], SchedulerConfig(theta=1e9)
-        )
-        p = make_packet(arrival=10.0)
-        sim = Simulation(
-            strategy, [], [p], horizon=100.0, flush_at_end=False
-        )
-        result = sim.run()
-        assert not p.is_scheduled
-        # The strategy still holds it (visible to the caller).
-        assert strategy.waiting_count == 1
-
     def test_flush_counts_reported(self):
         strategy = ETrainStrategy(
             [weibo_profile()], SchedulerConfig(theta=1e9)

@@ -7,32 +7,19 @@ implementations exist:
 * :func:`repro.sim.fleet.engine._theta_costs_numpy` — the reference
   (grouped NumPy expressions, sequential per-app fold);
 * :func:`repro.sim.fleet.engine._theta_costs_loops` — a scalar-loop
-  twin written op-for-op like the NumPy expressions; it is the *source*
-  numba compiles when ``ETRAIN_JIT`` asks for the JIT path (njit
-  defaults: no fastmath, no FMA contraction → same IEEE ops);
+  twin written op-for-op like the NumPy expressions;
 * the chunk-bound closure :func:`~repro.sim.fleet.engine._theta_step_for`
   builds — the per-app row fold the kernel actually runs.
 
 Because the vectorized-vs-scalar equivalence suite certifies the NumPy
 path, *bit-identity* here transitively certifies the loop twin and the
-closure (and, where numba is installed, the compiled variant).  The env
-flag's resolution logic is covered with and without numba present.
+closure.
 """
 
-import os
-
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.fleet import engine
-
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
 
 def random_case(rng):
@@ -83,83 +70,3 @@ class TestBitIdentity:
         np.testing.assert_array_equal(
             ref.view(np.uint64), closed.view(np.uint64)
         )
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_njit_matches_numpy_bitwise(self):
-        compiled = numba.njit(cache=False)(engine._theta_costs_loops)
-        rng = np.random.default_rng(123)
-        for _ in range(25):
-            case = random_case(rng)
-            ref = run_impl(engine._theta_costs_numpy, case)
-            jitted = run_impl(compiled, case)
-            np.testing.assert_array_equal(
-                ref.view(np.uint64), jitted.view(np.uint64)
-            )
-
-
-class TestFlagResolution:
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        before = os.environ.get("ETRAIN_JIT")
-        yield
-        if before is None:
-            os.environ.pop("ETRAIN_JIT", None)
-        else:
-            os.environ["ETRAIN_JIT"] = before
-        engine._reset_theta_impl()
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "off", "False"])
-    def test_flag_off_values(self, value):
-        os.environ["ETRAIN_JIT"] = value
-        assert not engine.etrain_jit_requested()
-        engine._reset_theta_impl()
-        assert not engine.etrain_jit_active()
-        assert engine._theta_costs_impl() is engine._theta_costs_numpy
-
-    def test_flag_unset(self):
-        os.environ.pop("ETRAIN_JIT", None)
-        assert not engine.etrain_jit_requested()
-        engine._reset_theta_impl()
-        assert engine._theta_costs_impl() is engine._theta_costs_numpy
-
-    def test_flag_on_resolves_without_crashing(self):
-        """With numba absent the request degrades to NumPy silently; with
-        numba present the resolved step must be the compiled one."""
-        os.environ["ETRAIN_JIT"] = "1"
-        assert engine.etrain_jit_requested()
-        engine._reset_theta_impl()
-        impl = engine._theta_costs_impl()
-        if HAVE_NUMBA:
-            assert engine.etrain_jit_active()
-            assert impl is not engine._theta_costs_numpy
-        else:
-            assert not engine.etrain_jit_active()
-            assert impl is engine._theta_costs_numpy
-
-    def test_jit_flag_simulation_matches_default(self):
-        """A whole etrain chunk under ETRAIN_JIT=1 equals the default
-        path — exactly when numba is absent (same NumPy code), and to
-        bit-identity of the Θ step when it is present."""
-        from repro.bandwidth.synth import wuhan_bandwidth_model
-        from repro.radio.power_model import GALAXY_S4_3G
-        from repro.sim.fleet.accounting import summarize_chunk
-        from repro.sim.fleet.channel import ChannelTable
-        from repro.sim.fleet.workload import synthesize_fleet
-
-        w = synthesize_fleet(3, 450.0, seed=5)
-        table = ChannelTable.from_model(wuhan_bandwidth_model(), 450.0)
-
-        os.environ.pop("ETRAIN_JIT", None)
-        engine._reset_theta_impl()
-        base = summarize_chunk(
-            engine.simulate_fleet_chunk(w, table, strategy="etrain"),
-            GALAXY_S4_3G,
-        ).to_dict()
-
-        os.environ["ETRAIN_JIT"] = "1"
-        engine._reset_theta_impl()
-        jit = summarize_chunk(
-            engine.simulate_fleet_chunk(w, table, strategy="etrain"),
-            GALAXY_S4_3G,
-        ).to_dict()
-        assert jit == base

@@ -139,8 +139,8 @@ def test_heartbeats_never_dropped_or_reordered(case):
 
 
 # ---------------------------------------------------------------------------
-# Decision-slot arithmetic (issue satellite: epsilon fix in
-# Simulation._is_decision_slot)
+# Decision-slot arithmetic (the epsilon in
+# repro.sim.decision.is_decision_slot)
 # ---------------------------------------------------------------------------
 
 
@@ -163,9 +163,7 @@ class _ProbeStrategy(TransmissionStrategy):
 
 def _decision_times(engine_slot: float, granularity: float, horizon: float):
     probe = _ProbeStrategy(granularity)
-    Simulation(
-        probe, [], [], horizon=horizon, slot=engine_slot, flush_at_end=False
-    ).run()
+    Simulation(probe, [], [], horizon=horizon, slot=engine_slot).run()
     return probe.decide_times
 
 

@@ -14,6 +14,8 @@ large device-id spaces and checks the store's contract:
   ``retry_after`` hint is a pure function of the backlog.
 """
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -226,6 +228,61 @@ class TestSessionOrdering:
             session.on_cargo(0.0, "no-such-app", 500)
         assert session.packets == []
         assert session.pending_cargo == 0
+
+
+class TestNonFiniteInputs:
+    """``json.loads`` accepts bare ``NaN``/``Infinity``; every ordering
+    comparison against NaN is false, so a non-finite event time must be
+    rejected before it can finalize slots or poison the watermark, and a
+    non-finite session geometry or deadline before it is used."""
+
+    @pytest.mark.parametrize("kind", ["cargo", "hb"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    def test_rejected_as_bad_event_through_handle(self, kind, raw):
+        import json
+
+        from repro.serve.server import ServeApp
+
+        app = ServeApp()
+        opened = app.handle(
+            {"op": "open", "device": "d", "strategy": "etrain", "horizon": 600.0}
+        )
+        assert opened["ok"], opened
+        fields = {"app": "mail", "size": 500} if kind == "cargo" else {
+            "app": "qq", "seq": 0, "size": 120,
+        }
+        event = {"op": "event", "device": "d", "kind": kind, "t": 5.0, **fields}
+        frame = json.dumps(event).replace("5.0", raw)
+        reply = app.handle(json.loads(frame))
+        assert not reply["ok"], reply
+        assert reply["error"]["code"] == "bad_event"
+        # Nothing was finalized and the watermark is untouched: an
+        # in-order event afterwards is accepted and an earlier one is not.
+        ok = app.handle({**event, "t": 1.0})
+        assert ok["ok"] and ok["decisions"] == 1, ok
+        late = app.handle({**event, "t": 0.5})
+        assert late["error"]["code"] == "out_of_order"
+        closed = app.handle({"op": "close", "device": "d"})
+        assert closed["ok"] and closed["decisions"] == 600
+        assert math.isfinite(closed["summary"]["total_energy_j"])
+
+    @pytest.mark.parametrize("field", ["horizon", "slot"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_open_rejects_non_finite_geometry(self, field, value):
+        from repro.serve.server import ServeApp
+
+        reply = ServeApp().handle(
+            {"op": "open", "device": "d", "strategy": "etrain", field: value}
+        )
+        assert not reply["ok"], reply
+        assert reply["error"]["code"] == "bad_request"
+
+    def test_cargo_rejects_nan_deadline(self):
+        session = DeviceSession("d", horizon=60.0)
+        with pytest.raises(ProtocolError) as err:
+            session.on_cargo(1.0, "mail", 500, deadline=math.nan)
+        assert err.value.code == "bad_event"
+        assert session.packets == []
 
 
 class TestInboxShedding:

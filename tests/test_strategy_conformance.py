@@ -14,7 +14,10 @@ and a row automatically enrolls the strategy in:
    the run's summary metrics (including ``aoi_s``);
 4. **fleet-vs-scalar agreement** — the chunked fleet pipeline
    (vectorized kernel when registered, scalar fallback otherwise)
-   matches unchunked per-device scalar simulation.
+   matches unchunked per-device scalar simulation;
+5. **session replay** — a serve session fed one fleet device's events,
+   with slots finalized at hypothesis-chosen split points, equals the
+   dense engine on that device, and visits no more slots than it.
 
 Plus the last-slot regression class: a ``decision_horizon`` that stops
 promising quiet (returns a time at or before ``now``, e.g. ``0.0``) at
@@ -28,6 +31,7 @@ import math
 from typing import List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.base import TransmissionStrategy
 from repro.core.packet import Packet, reset_packet_ids
@@ -48,6 +52,8 @@ from tests.strategy_conformance import (
     run_both,
     run_scenario,
     schedule_fingerprint,
+    SESSION_DEVICES,
+    session_replay,
 )
 
 pytestmark = pytest.mark.strategies
@@ -142,6 +148,36 @@ class TestFleetMatchesScalar:
         assert_fleet_summaries_match(
             fleet, scalar, rtol=1e-6 if vectorized else 1e-12
         )
+
+
+class TestSessionReplay:
+    """Certification 5: serving a device one event at a time changes
+    nothing, wherever its slot-finalization points fall."""
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    @given(
+        device=st.integers(min_value=0, max_value=SESSION_DEVICES - 1),
+        splits=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=450).map(float),
+                st.floats(min_value=0.0, max_value=450.0),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_session_matches_dense_engine(self, name, device, splits):
+        params = FIXTURE_BY_NAME[name].param_dict
+        dense, dense_visited, served, streamed, call_decisions, visited = (
+            session_replay(name, params, device, splits)
+        )
+        assert served.records == dense.records
+        assert streamed == dense.records
+        assert served.decisions == dense.decisions
+        assert call_decisions == dense.decisions
+        assert served.flushed_packets == dense.flushed_packets
+        assert served.summary() == dense.summary()
+        assert visited <= dense_visited
 
 
 class LastSlotZeroHorizon(TransmissionStrategy):
