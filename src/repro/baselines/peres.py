@@ -27,6 +27,8 @@ then updates: if the recent per-packet cost runs above Ω, V shrinks
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Dict, List, Mapping, Sequence
 
 from repro.baselines.base import BandwidthEstimator, TransmissionStrategy
@@ -105,7 +107,9 @@ class PerESStrategy(TransmissionStrategy):
         if not self._released_costs:
             return
         recent = self._released_costs[-50:]
-        average = sum(recent) / len(recent)
+        # A strict left fold: ``sum`` compensates from Python 3.12 on, and
+        # the fleet kernel's window fold must land on the same float.
+        average = reduce(operator.add, recent, 0.0) / len(recent)
         if average > self.omega:
             self.v *= 1.0 - self.ETA  # too costly: favour performance
         else:
@@ -143,26 +147,62 @@ class PerESStrategy(TransmissionStrategy):
 _V_WINDOW = 50
 
 
+def _ring_push(ring, devs, ordinals, costs) -> None:
+    """Store released costs in each device's ring at ``ordinal mod W``.
+
+    ``ordinals`` count a device's released costs from 0; pushing at
+    most the last ``W`` of a release keeps every cell's index unique.
+    """
+    ring[devs, ordinals % ring.shape[1]] = costs
+
+
+def _ring_means(ring, devs, totals):
+    """Mean of each device's last ``min(total, W)`` released costs.
+
+    The window is gathered oldest first and folded with ``cumsum`` — a
+    strict left fold, as the scalar ``_adapt_v`` folds its window, so
+    each mean is bit-identical to the scalar one.  Before a ring first
+    wraps, its never-written cells are 0.0, and adding 0.0 to a
+    non-negative sum is exact.
+    """
+    import numpy as np
+
+    W = ring.shape[1]
+    m = np.minimum(totals, W)
+    oldest = (totals - m)[:, None] + np.arange(W)
+    return np.cumsum(ring[devs[:, None], oldest % W], axis=1)[:, -1] / m
+
+
 def peres_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=None):
     """Batched PerES over the device axis of one fleet chunk.
 
     Per slot the kernel evaluates ``P(t) · quality >= V`` and the
-    deadline-pressure override for every device at once:
+    deadline-pressure override for every device at once, with no
+    per-app or per-column Python work inside the slot loop (a release
+    evaluates φ once per cost kind, with the eTrain kernel's
+    ``_head_spec_raw``):
 
-    * ``P(t)`` comes from the same closed-form pre/post-deadline
-      aggregates the eTrain kernel maintains (sums round differently
-      from the scalar sequential additions by ~1e-13, reset to exact
-      zero at every whole-queue release);
+    * ``P(t)`` comes from the eTrain kernel's closed-form pre/post-
+      deadline aggregates, fed by its app-major flat delivery and
+      transition streams (sums round differently from the scalar
+      sequential additions by ~1e-13, reset to exact zero at every
+      whole-queue release);
     * the quality ratio is the shared per-chunk estimator series;
-    * deadline pressure reduces to the per-app queue *heads* (the oldest
-      packet maximises delay, and the cost deadline is per-app), an
-      exact reduction of the scalar any-packet scan;
+    * deadline pressure is a per-device clock: the earliest slot ``i``
+      at which any queued packet has ``(i + 1 − arrival) > deadline``,
+      lowered on delivery and cleared on release — an exact reduction
+      of the scalar any-packet scan, since the condition is monotone
+      in ``i``;
     * the dynamic per-device ``V`` adapts on releases from a (D, 50)
-      left-aligned window of recent released costs, accumulated
-      column-sequentially so the mean matches Python's left-fold sum.
+      ring of released costs indexed by each packet's ordinal within
+      its device, mod 50: a release scatters its last <= 50 costs,
+      gathers the window oldest first, and folds it with one
+      ``cumsum`` — a strict left fold, so the mean matches the scalar
+      ``_adapt_v`` fold (never-written ring cells are zeros, and adding
+      0.0 to a non-negative sum is exact).
 
     Releases are whole-queue, so each device's backlog stays a
-    contiguous range of its arrival-ordered packets and the release
+    contiguous range of its queue-ordered packets and the release
     slots feed the shared loop-free burst builder
     (``requires_warm_radio=False``).
     """
@@ -170,13 +210,8 @@ def peres_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=N
 
     from repro.sim.fleet.engine import (
         _build_loopfree,
-        _cost_aggregate,
-        _csr_expand,
-        _delivery_slots,
         _flat_packets,
-        _head_spec,
         _reject_extra,
-        _transition_slots,
         fleet_slot_count,
     )
     from repro.sim.fleet.estimator import quality_series
@@ -194,12 +229,8 @@ def peres_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=N
     if np.any(workload.deadlines < 2.0):
         raise ValueError("fleet peres requires all deadlines >= 2 s")
 
-    A, D = workload.n_apps, workload.n_devices
     n_slots = fleet_slot_count(workload.horizon)
     pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)
-    kinds = [int(k) for k in workload.cost_kinds]
-    dls = [float(d) for d in workload.deadlines]
-
     # PerES decides every 1 s slot; one shared quality sample per slot.
     q = quality_series(
         table,
@@ -208,146 +239,140 @@ def peres_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=N
         noise=noise,
         seed=est_seed,
     )
+    release = _peres_release_slots(
+        workload, pk_app, pk_dev, pk_arr, n_slots, q, omega, v_init
+    )
+    return _build_loopfree(
+        workload, table, release, pk_app, pk_dev, pk_arr, pk_size, n_slots
+    )
 
-    garr = [workload.arrivals[a] for a in range(A)]
-    gdev = [
-        np.repeat(
-            np.arange(D, dtype=np.int64), np.diff(workload.offsets[a])
-        )
-        for a in range(A)
-    ]
 
-    # Per-slot buckets: deliveries by k_d, pre->post transitions by k_p.
-    dorder, dbnd, torder, tbnd = [], [], [], []
-    for a in range(A):
-        kd_a = _delivery_slots(garr[a], n_slots)
-        o = np.argsort(kd_a, kind="stable")
-        dorder.append(o)
-        dbnd.append(np.searchsorted(kd_a[o], np.arange(n_slots + 1)))
-        kc = np.minimum(_transition_slots(garr[a], dls[a]), n_slots + 2)
-        o2 = np.argsort(kc, kind="stable")
-        torder.append(o2)
-        tbnd.append(np.searchsorted(kc[o2], np.arange(n_slots + 3)))
+def _peres_release_slots(w, pk_app, pk_dev, pk_arr, n_slots, q, omega, v_init):
+    """PerES's per-device slot loop; returns each flat packet's release
+    slot (``n_slots`` = never released, flushed at the horizon)."""
+    import numpy as np
+
+    from repro.sim.fleet.engine import (
+        _csr_expand,
+        _delivery_slots,
+        _head_spec_raw,
+        _slot_streams,
+        _theta_step_for,
+    )
+
+    A, D = w.n_apps, w.n_devices
+    W = _V_WINDOW
+    kinds = np.asarray(w.cost_kinds, dtype=np.int64)
+    dls = np.asarray(w.deadlines, dtype=np.float64)
+    theta_costs = _theta_step_for(kinds, dls)
+
+    # Slot-bucketed flat streams; a delivered packet's pressure slot is
+    # the first i with (i + 1 − arrival) > deadline, i.e. kp − 1.
+    st = _slot_streams(pk_app, pk_dev, pk_arr, dls, D, n_slots)
+    do, dbnd = st.d_order, st.d_bnd
+    dl_lin, dl_dev, dl_arr = st.lin[do], pk_dev[do], pk_arr[do]
+    dl_press = st.kp[do] - 1
+    to, tbnd = st.t_order, st.t_bnd
+    tr_lin, tr_dev, tr_arr = st.lin[to], pk_dev[to], pk_arr[to]
 
     # Queue-ordered flat packet view (delivery order: arrival, then the
     # packet-id tie-break — alphabetical app, then app-major position).
-    alpha = np.argsort(np.argsort(np.asarray(workload.app_ids)))
+    # Delivery slots are nondecreasing along each device's run, so
+    # ``dev·M + slot`` keys are sorted and a device's queue tail at slot
+    # i is one searchsorted away.
+    alpha = np.argsort(np.argsort(np.asarray(w.app_ids)))
     perm = np.lexsort(
         (np.arange(pk_arr.size, dtype=np.int64), alpha[pk_app], pk_arr, pk_dev)
     )
     app_s = pk_app[perm]
     arr_s = pk_arr[perm]
-    dev_s = pk_dev[perm]
-    seg = np.searchsorted(dev_s, np.arange(D + 1, dtype=np.int64))
+    key_mod = np.int64(n_slots + 1)
+    key_s = pk_dev[perm] * key_mod + _delivery_slots(arr_s, n_slots)
+    seg = np.searchsorted(key_s, np.arange(D + 1, dtype=np.int64) * key_mod)
     qhead = seg[:-1].copy()
-    qtail = seg[:-1].copy()
-    r_s = np.full(dev_s.size, n_slots, dtype=np.int64)
+    dev_key = np.arange(D, dtype=np.int64) * key_mod
 
-    # State: in-set cost aggregates, per-app queue pointers, dynamic V.
-    pre_n = np.zeros((A, D))
-    pre_s = np.zeros((A, D))
-    post_n = np.zeros((A, D))
-    post_s = np.zeros((A, D))
-    head = [workload.offsets[a][:-1].copy() for a in range(A)]
-    tail = [workload.offsets[a][:-1].copy() for a in range(A)]
+    # State: in-set cost aggregates (one (4, A, D) block so a release
+    # clears them in one assignment), the pressure clock, the last
+    # release time (a packet is still queued iff it arrived after it),
+    # dynamic V and the released-cost rings.
+    agg = np.zeros((4, A, D))
+    pre_n, pre_s, post_n, post_s = agg
+    pre_n_f, pre_s_f, post_n_f, post_s_f = agg.reshape(4, A * D)
+    no_press = np.iinfo(np.int64).max
+    press = np.full(D, no_press, dtype=np.int64)
+    last_rel = np.full(D, -1.0)
     v = np.full(D, v_init)
-    win = np.zeros((D, _V_WINDOW))
-    wlen = np.zeros(D, dtype=np.int64)
+    ring = np.zeros((D, W))
+    P = np.zeros(D)
     # Same expressions the scalar _adapt_v computes from ETA.
     v_down = 1.0 - PerESStrategy.ETA
     v_up = 1.0 + PerESStrategy.ETA
     v_min, v_max = PerESStrategy.V_MIN, PerESStrategy.V_MAX
-    cols = np.arange(_V_WINDOW)
+    ev_slot: List[np.ndarray] = []
+    ev_lo: List[np.ndarray] = []
+    ev_hi: List[np.ndarray] = []
 
     for i in range(n_slots):
         t = float(i)
-        u = t + 1.0
         # 1. deliveries (arrival <= t): always pre-deadline on entry.
-        for a in range(A):
-            sl = dorder[a][dbnd[a][i] : dbnd[a][i + 1]]
-            if sl.size:
-                dv = gdev[a][sl]
-                np.add.at(pre_n[a], dv, 1.0)
-                np.add.at(pre_s[a], dv, garr[a][sl])
-                np.add.at(tail[a], dv, 1)
-                np.add.at(qtail, dv, 1)
+        if dbnd[i + 1] > dbnd[i]:
+            sl = slice(dbnd[i], dbnd[i + 1])
+            lin = dl_lin[sl]
+            np.add.at(pre_n_f, lin, 1.0)
+            np.add.at(pre_s_f, lin, dl_arr[sl])
+            np.minimum.at(press, dl_dev[sl], dl_press[sl])
         # 2. pre->post transitions for still-queued packets.
-        for a in range(A):
-            sl = torder[a][tbnd[a][i] : tbnd[a][i + 1]]
-            if sl.size:
-                dv = gdev[a][sl]
-                act = sl >= head[a][dv]
-                if act.any():
-                    g = sl[act]
-                    dv = dv[act]
-                    ar = garr[a][g]
-                    np.add.at(pre_n[a], dv, -1.0)
-                    np.add.at(pre_s[a], dv, -ar)
-                    np.add.at(post_n[a], dv, 1.0)
-                    np.add.at(post_s[a], dv, ar)
+        if tbnd[i + 1] > tbnd[i]:
+            sl = slice(tbnd[i], tbnd[i + 1])
+            ar = tr_arr[sl]
+            act = ar > last_rel[tr_dev[sl]]
+            if act.any():
+                lin = tr_lin[sl][act]
+                ar = ar[act]
+                np.add.at(pre_n_f, lin, -1.0)
+                np.add.at(pre_s_f, lin, -ar)
+                np.add.at(post_n_f, lin, 1.0)
+                np.add.at(post_s_f, lin, ar)
         # 3. decision: P(t)·quality >= V, or deadline pressure.
-        has_q = qtail > qhead
+        has_q = press != no_press
         if not has_q.any():
             continue
-        P = np.zeros(D)
-        pressure = np.zeros(D, dtype=bool)
-        for a in range(A):
-            P += _cost_aggregate(
-                kinds[a], dls[a], t, pre_n[a], pre_s[a], post_n[a], post_s[a]
-            )
-            h = head[a]
-            has = h < tail[a]
-            if has.any():  # guards the gather when app a has no packets
-                ar_h = garr[a][np.minimum(h, garr[a].size - 1)]
-                pressure |= has & ((u - ar_h) > dls[a])
-        fired = np.nonzero(has_q & ((P * q[i] >= v) | pressure))[0]
+        theta_costs(t, pre_n, pre_s, post_n, post_s, P)
+        fired = np.flatnonzero((has_q & (P * q[i] >= v)) | (press <= i))
         if not fired.size:
             continue
-        # 4. whole-queue release at slot i; record costs at ``now``.
-        lo, hi = qhead[fired], qtail[fired]
-        idx, lens = _csr_expand(lo, hi)
-        r_s[idx] = i
+        # 4. whole-queue release at slot i.
+        lo = qhead[fired]
+        hi = np.searchsorted(key_s, dev_key[fired] + i, side="right")
+        ev_slot.append(np.full(fired.size, i, dtype=np.int64))
+        ev_lo.append(lo)
+        ev_hi.append(hi)
+        # 5. ring the last <= W released costs (recorded at ``now``),
+        # fold the window oldest first and adapt V.
+        idx, lens = _csr_expand(np.maximum(lo, hi - W), hi)
+        a_r = app_s[idx]
+        k_r, d_r = kinds[a_r], t - arr_s[idx]
         costs = np.empty(idx.size)
-        rel_app = app_s[idx]
-        rel_d = t - arr_s[idx]
-        for a in range(A):
-            m = rel_app == a
+        for kind in (0, 1, 2):
+            m = k_r == kind
             if m.any():
-                costs[m] = _head_spec(kinds[a], dls[a], rel_d[m])
-        # 5. slide the (D, 50) released-cost windows and adapt V.
-        F = fired.size
-        k = lens
-        m_new = np.minimum(k, _V_WINDOW)
-        o_old = np.minimum(wlen[fired], _V_WINDOW - m_new)
-        newlen = o_old + m_new
-        off = np.concatenate(([0], np.cumsum(k)[:-1]))
-        take_old = cols[None, :] < o_old[:, None]
-        take_new = ~take_old & (cols[None, :] < newlen[:, None])
-        old_pos = (wlen[fired] - o_old)[:, None] + cols[None, :]
-        new_pos = (off + k - m_new - o_old)[:, None] + cols[None, :]
-        old_g = win[fired[:, None], np.clip(old_pos, 0, _V_WINDOW - 1)]
-        new_g = costs[np.clip(new_pos, 0, max(costs.size - 1, 0))]
-        fresh = np.where(take_old, old_g, np.where(take_new, new_g, 0.0))
-        win[fired] = fresh
-        wlen[fired] = newlen
-        # Column-sequential accumulation == Python's left-fold sum.
-        acc = np.zeros(F)
-        for c in range(_V_WINDOW):
-            acc = acc + np.where(c < newlen, fresh[:, c], 0.0)
-        mean = acc / newlen
+                costs[m] = _head_spec_raw(kind, dls[a_r[m]], d_r[m])
+        rdev = np.repeat(fired, lens)
+        _ring_push(ring, rdev, idx - seg[rdev], costs)
+        mean = _ring_means(ring, fired, hi - seg[fired])
         vf = np.where(mean > omega, v[fired] * v_down, v[fired] * v_up)
         v[fired] = np.minimum(np.maximum(vf, v_min), v_max)
         # 6. exact queue reset (mirrors the scalar queue emptying).
-        qhead[fired] = qtail[fired]
-        for a in range(A):
-            head[a][fired] = tail[a][fired]
-            pre_n[a][fired] = 0.0
-            pre_s[a][fired] = 0.0
-            post_n[a][fired] = 0.0
-            post_s[a][fired] = 0.0
+        qhead[fired] = hi
+        last_rel[fired] = t
+        press[fired] = no_press
+        agg[:, :, fired] = 0.0
 
-    release = np.empty(dev_s.size, dtype=np.int64)
+    r_s = np.full(perm.size, n_slots, dtype=np.int64)
+    if ev_slot:
+        idx, lens = _csr_expand(np.concatenate(ev_lo), np.concatenate(ev_hi))
+        r_s[idx] = np.repeat(np.concatenate(ev_slot), lens)
+    release = np.empty(perm.size, dtype=np.int64)
     release[perm] = r_s
-    return _build_loopfree(
-        workload, table, release, pk_app, pk_dev, pk_arr, pk_size, n_slots
-    )
+    return release

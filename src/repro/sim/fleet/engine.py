@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,6 +243,39 @@ def _csr_expand(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return idx, lens
 
 
+class _SlotStreams(NamedTuple):
+    """App-major flat packet streams bucketed by slot (see :func:`_slot_streams`)."""
+
+    lin: np.ndarray  # app * n_devices + device, app-major flat order
+    kp: np.ndarray  # pre->post transition slot per flat packet
+    d_order: np.ndarray  # flat packets by delivery slot (stable)
+    d_bnd: np.ndarray  # slot i delivers d_order[d_bnd[i] : d_bnd[i + 1]]
+    t_order: np.ndarray  # flat packets by transition slot (stable)
+    t_bnd: np.ndarray  # bucket k: t_order[t_bnd[k] : t_bnd[k + 1]]
+
+
+def _slot_streams(pk_app, pk_dev, pk_arr, deadlines, n_devices: int, n_slots: int):
+    """Delivery and pre->post transition streams over the flat packets.
+
+    One scatter per slot step instead of one per (app, slot): packets
+    keep the app-major flat order of :func:`_flat_packets` and are sorted
+    stably by slot, so every (app, device) cell's accumulation order is
+    identical to per-app loops and running sums stay bit-for-bit.
+    Transition slots past ``n_slots + 2`` are bucketed there, so a slot
+    loop may also read the speculative ``i + 1`` bucket.
+    """
+    kp = _transition_slots(pk_arr, deadlines[pk_app])
+    kd = _delivery_slots(pk_arr, n_slots)
+    d_order = np.argsort(kd, kind="stable")
+    d_bnd = np.searchsorted(kd[d_order], np.arange(n_slots + 1))
+    kc = np.minimum(kp, n_slots + 2)
+    t_order = np.argsort(kc, kind="stable")
+    t_bnd = np.searchsorted(kc[t_order], np.arange(n_slots + 3))
+    return _SlotStreams(
+        pk_app * n_devices + pk_dev, kp, d_order, d_bnd, t_order, t_bnd
+    )
+
+
 class _GrowBuffer:
     """Geometrically grown tx-record buffer (amortized O(1) extend).
 
@@ -279,22 +312,46 @@ class _GrowBuffer:
 
 
 def _serialize_segment(table, req_s, dev_s, size_s):
-    """The monotone fixed point over one device-aligned burst segment."""
-    seg_start = np.ones(req_s.size, dtype=bool)
-    seg_start[1:] = dev_s[1:] != dev_s[:-1]
+    """The monotone fixed point over one device-aligned burst segment.
+
+    Jacobi iteration ``start_k <- max(req_k, end_{k-1})`` from
+    ``start = req``, solved on a worklist: the first pass solves every
+    burst, and each later pass re-solves only the bursts whose start
+    moved — a burst's candidate start can change only when its same-
+    device predecessor's end did.  The iterates, the pass count and
+    hence the ``_SERIALIZE_MAX_ITER`` guard are exactly those of
+    re-solving the whole segment every pass; ``ChannelTable.durations``
+    is elementwise, so each burst's duration is the same float either
+    way.
+    """
+    n = req_s.size
+    chained = np.zeros(n, dtype=bool)  # burst follows a same-device burst
+    chained[1:] = dev_s[1:] == dev_s[:-1]
     starts = req_s.copy()
-    for _ in range(_SERIALIZE_MAX_ITER):
-        durs = table.durations(starts, size_s)
-        ends = starts + durs
-        prev_end = np.empty_like(ends)
-        prev_end[0] = 0.0
-        prev_end[1:] = ends[:-1]
-        prev_end[seg_start] = 0.0
-        new = np.maximum(req_s, prev_end)
-        if np.array_equal(new, starts):
-            return starts, durs
-        starts = new
-    raise RuntimeError("burst serialisation did not converge")
+    durs = table.durations(starts, size_s)
+    ends = starts + durs
+    # First pass over slices: every chained burst against its predecessor.
+    new = np.maximum(req_s[1:], ends[:-1])
+    step = chained[1:] & (new != starts[1:])
+    moved = np.flatnonzero(step) + 1
+    new = new[step]
+    for _ in range(_SERIALIZE_MAX_ITER - 1):
+        if not moved.size:
+            break
+        starts[moved] = new
+        d = table.durations(new, size_s[moved])
+        durs[moved] = d
+        ends[moved] = new + d
+        succ = moved + 1
+        succ = succ[succ < n]
+        succ = succ[chained[succ]]
+        new = np.maximum(req_s[succ], ends[succ - 1])
+        step = new != starts[succ]
+        moved = succ[step]
+        new = new[step]
+    if moved.size:
+        raise RuntimeError("burst serialisation did not converge")
+    return starts, durs
 
 
 def _serialize(table, req, dev, size, tie):
@@ -541,12 +598,6 @@ def _head_spec_raw(kind: int, deadline: float, d: np.ndarray) -> np.ndarray:
     return np.where(d <= deadline, d / deadline, 3.0 * d / deadline - 2.0)
 
 
-def _head_spec(kind: int, deadline: float, d: np.ndarray) -> np.ndarray:
-    """φ(d) with the exact scalar branch arithmetic, vectorized."""
-    with np.errstate(invalid="ignore"):
-        return _head_spec_raw(kind, deadline, d)
-
-
 def _kind_groups(kinds: np.ndarray, dls: np.ndarray):
     """Apps grouped by cost kind, with a column deadline per group.
 
@@ -657,52 +708,28 @@ def _simulate_etrain(
 
     garr = [w.arrivals[a] for a in range(A)]
     gsize = [w.sizes[a].astype(np.float64) for a in range(A)]
-    gdev = [
-        np.repeat(np.arange(D, dtype=np.int64), np.diff(w.offsets[a])) for a in range(A)
-    ]
     kinds = [int(k) for k in w.cost_kinds]
     dls = [float(d) for d in w.deadlines]
     kinds_arr = np.asarray(kinds, dtype=np.int64)
     dls_arr = np.asarray(dls, dtype=np.float64)
     theta_costs = _theta_step_for(kinds_arr, dls_arr)
 
-    # App-major flat packet streams: one scatter per slot step instead of
-    # one per (app, slot).  Concatenating app-major and sorting stably by
-    # slot keeps every (app, device) cell's accumulation order identical
-    # to the old per-app loops, so the running sums stay bit-for-bit.
-    kp = [_transition_slots(garr[a], dls[a]) for a in range(A)]
+    # App-major flat packet streams (see _slot_streams).
+    st = _slot_streams(pk_app, pk_dev, pk_arr, w.deadlines, D, n_slots)
     n_per_app = np.asarray([garr[a].size for a in range(A)], dtype=np.int64)
-    empty_i64 = np.empty(0, np.int64)
-    empty_f64 = np.empty(0, np.float64)
-    fl_app = np.repeat(np.arange(A, dtype=np.int64), n_per_app)
-    fl_idx = (
-        np.concatenate([np.arange(n, dtype=np.int64) for n in n_per_app])
-        if A
-        else empty_i64
-    )
-    fl_dev = np.concatenate(gdev) if A else empty_i64
-    fl_arr = np.concatenate(garr) if A else empty_f64
-    fl_size = np.concatenate(gsize) if A else empty_f64
-    fl_lin = fl_app * D + fl_dev
+    kp = [st.kp[base[a] : base[a + 1]] for a in range(A)]
+    fl_arr = pk_arr
+    fl_size = pk_size.astype(np.float64)
+    fl_idx = np.arange(pk_arr.size, dtype=np.int64) - base[pk_app]
 
-    kd_all = (
-        np.concatenate([_delivery_slots(garr[a], n_slots) for a in range(A)])
-        if A
-        else empty_i64
-    )
-    do = np.argsort(kd_all, kind="stable")
-    dl_lin, dl_arr, dl_size = fl_lin[do], fl_arr[do], fl_size[do]
-    dbnd = np.searchsorted(kd_all[do], np.arange(n_slots + 1))
+    do = st.d_order
+    dl_lin, dl_arr, dl_size = st.lin[do], fl_arr[do], fl_size[do]
+    dbnd = st.d_bnd
     has_del = dbnd[1:] > dbnd[:-1]
 
-    kc_all = (
-        np.concatenate([np.minimum(kp[a], n_slots + 2) for a in range(A)])
-        if A
-        else empty_i64
-    )
-    to = np.argsort(kc_all, kind="stable")
-    tr_lin, tr_arr, tr_idx = fl_lin[to], fl_arr[to], fl_idx[to]
-    tbnd = np.searchsorted(kc_all[to], np.arange(n_slots + 3))
+    to = st.t_order
+    tr_lin, tr_arr, tr_idx = st.lin[to], fl_arr[to], fl_idx[to]
+    tbnd = st.t_bnd
     t_any = tbnd[1:] > tbnd[:-1]
     has_tr = t_any[:n_slots] | t_any[1 : n_slots + 1]
 

@@ -121,6 +121,61 @@ def test_full_horizon_etrain_equivalence():
     assert fleet["piggyback_ratio"] > 0.3  # eTrain actually piggybacks
 
 
+#: PerES cases long enough to overflow its 50-cost V window: (params,
+#: the V clamp some device must reach — "min", "max" or None).
+PERES_LONG = [
+    ({"omega": 0.0, "v_init": 0.01}, "min"),
+    ({"omega": 0.5}, None),
+    ({"omega": 5.0, "v_init": 1e5}, "max"),
+]
+
+
+@pytest.mark.parametrize(
+    "params,clamp", PERES_LONG, ids=[f"omega={p['omega']}" for p, _ in PERES_LONG]
+)
+def test_peres_long_horizon_overflows_v_window(params, clamp, monkeypatch):
+    """Hour-long PerES runs in which devices release well over 50 costs,
+    so the kernel's (D, 50) released-cost ring wraps and V saturates:
+    exact counts and histograms, sums within rtol 1e-6."""
+    from repro.baselines.peres import PerESStrategy
+
+    seen = {"released": 0, "v": []}
+    adapt_v = PerESStrategy._adapt_v
+
+    def spy(self):
+        adapt_v(self)
+        seen["released"] = max(seen["released"], len(self._released_costs))
+        seen["v"].append(self.v)
+
+    monkeypatch.setattr(PerESStrategy, "_adapt_v", spy)
+    devices, horizon, seed = 4, 3600.0, 5
+    workload = synthesize_fleet(devices, horizon, seed, phase_mode="random")
+    fleet = summarize_chunk(
+        simulate_fleet_chunk(
+            workload, channel_table(horizon), strategy="peres", params=dict(params)
+        ),
+        GALAXY_S4_3G,
+    )
+    scalar = simulate_reference_chunk(
+        workload, _BW, strategy="peres", params=dict(params)
+    )
+    assert seen["released"] > 50, seen["released"]
+    if clamp == "min":
+        assert min(seen["v"]) == PerESStrategy.V_MIN
+    elif clamp == "max":
+        assert max(seen["v"]) == PerESStrategy.V_MAX
+    counts = ("devices", "packets", "bursts", "heartbeats", "piggyback_hits", "violations")
+    for attr in counts:
+        assert getattr(fleet, attr) == getattr(scalar, attr), attr
+    np.testing.assert_array_equal(fleet.energy_hist, scalar.energy_hist)
+    np.testing.assert_array_equal(fleet.delay_hist, scalar.delay_hist)
+    sums = ("delay_sum", "delay_cost_sum", "energy_total_j", "energy_tail_j", "energy_tx_j")
+    for attr in sums:
+        assert getattr(fleet, attr) == pytest.approx(
+            getattr(scalar, attr), rel=1e-6, abs=1e-9
+        ), attr
+
+
 @settings(
     max_examples=15,
     deadline=None,
